@@ -32,7 +32,7 @@ from repro.experiments.common import sweep
 from repro.workload.spec import WorkloadSpec
 
 #: Quick-run sweep shape: CI scale, a couple of seconds per protocol.
-NODE_COUNTS = (2, 4, 8, 16, 24)
+NODE_COUNTS = (2, 4, 8, 16, 24, 60, 120)
 OPS_PER_NODE = 15
 SEED = 2003
 PROTOCOLS = ("hierarchical", "naimi-pure", "naimi-same-work")

@@ -62,7 +62,10 @@ from .messages import (
     TokenMessage,
     fresh_attachment_seq,
 )
-from .modes import (
+# Every Table 1a-2b function stays bound here, ``freeze_set`` included
+# although ``_refresh_frozen`` reads the precomputed rows instead: the
+# benchmark's tracer wraps these names in this module's namespace.
+from .modes import (  # noqa: F401
     LockMode,
     REAL_MODES,
     child_can_grant,
@@ -400,9 +403,14 @@ class HierarchicalLockAutomaton:
         recorded owned modes of its copyset children.
         """
 
-        candidates = [m for m, count in self._held.items() if count > 0]
-        candidates.extend(self._children.values())
-        return max_mode(candidates)
+        best = LockMode.NONE
+        for mode, count in self._held.items():
+            if count > 0 and mode.rank > best.rank:
+                best = mode
+        for mode in self._children.values():
+            if mode.rank > best.rank:
+                best = mode
+        return best
 
     def is_idle(self) -> bool:
         """True iff this automaton holds nothing and has no activity."""
@@ -1264,12 +1272,14 @@ class HierarchicalLockAutomaton:
 
         if not self._has_token or self._grants_blocked():
             return []
-        frozen: set = set()
+        new: FrozenSet[LockMode] = frozenset()
         if self._options.freezing:
-            owned = self.owned_mode()
+            # Table 2(b) over the whole queue in one lookup: the row of the
+            # owned mode, indexed by the set of distinct queued modes.
+            queued = 0
             for msg in self._queue:
-                frozen.update(freeze_set(owned, msg.mode))
-        new = frozenset(frozen)
+                queued |= msg.mode.bit
+            new = self.owned_mode().freeze_row[queued]
         if new == self._frozen:
             return []
         old = self._frozen

@@ -41,6 +41,14 @@ class LockMode(enum.Enum):
     IW = "IW"
     W = "W"
 
+    # Per-member constants derived from the rule tables at import (they
+    # are assigned after ``freeze_set`` below).  Bare annotations do not
+    # create enum members.
+    bit: int
+    rank: int
+    conflict_mask: int
+    freeze_row: Tuple[FrozenSet["LockMode"], ...]
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LockMode.{self.name}"
 
@@ -83,19 +91,19 @@ def strength(mode: LockMode) -> int:
     a strength level (``U = IW`` in the paper).
     """
 
-    return _STRENGTH[mode]
+    return mode.rank
 
 
 def stronger_or_equal(left: LockMode, right: LockMode) -> bool:
     """Return ``True`` iff ``left >= right`` in the strength order."""
 
-    return _STRENGTH[left] >= _STRENGTH[right]
+    return left.rank >= right.rank
 
 
 def strictly_weaker(left: LockMode, right: LockMode) -> bool:
     """Return ``True`` iff ``left < right`` in the strength order."""
 
-    return _STRENGTH[left] < _STRENGTH[right]
+    return left.rank < right.rank
 
 
 def max_mode(modes: Iterable[LockMode]) -> LockMode:
@@ -108,7 +116,7 @@ def max_mode(modes: Iterable[LockMode]) -> LockMode:
 
     best = LockMode.NONE
     for mode in modes:
-        if _STRENGTH[mode] > _STRENGTH[best]:
+        if mode.rank > best.rank:
             best = mode
     return best
 
@@ -135,13 +143,13 @@ _CONFLICTS: Dict[LockMode, FrozenSet[LockMode]] = {
 def compatible(left: LockMode, right: LockMode) -> bool:
     """Rule 1: modes are compatible iff they do not conflict (Table 1a)."""
 
-    return right not in _CONFLICTS[left]
+    return not left.conflict_mask & right.bit
 
 
 def conflicts(left: LockMode, right: LockMode) -> bool:
     """Return ``True`` iff the two modes conflict per Table 1(a)."""
 
-    return right in _CONFLICTS[left]
+    return bool(left.conflict_mask & right.bit)
 
 
 def compatible_modes(mode: LockMode) -> FrozenSet[LockMode]:
@@ -264,6 +272,32 @@ def freeze_set(owned: LockMode, requested: LockMode) -> FrozenSet[LockMode]:
         for m in REAL_MODES
         if conflicts(m, requested) and compatible(m, owned)
     )
+
+
+# ---------------------------------------------------------------------------
+# Per-member constants — the tables above as integers, so the hot paths
+# (every grant decision and every Rule-6 freeze recomputation) use bit
+# tests and integer compares instead of hashing enum members.
+# ``_CONFLICTS`` and ``_STRENGTH`` stay the single source of truth.
+# ---------------------------------------------------------------------------
+
+for _index, _mode in enumerate(ALL_MODES):
+    _mode.bit = 1 << _index
+    _mode.rank = _STRENGTH[_mode]
+for _mode in ALL_MODES:
+    _mode.conflict_mask = sum(m.bit for m in _CONFLICTS[_mode])
+for _mode in ALL_MODES:
+    # Table 2(b) applied to a whole queue: entry ``mask`` is the union of
+    # ``freeze_set(_mode, q)`` over the queued modes ``q`` whose bits are
+    # set in ``mask``, so a token owning ``_mode`` finds its frozen set in
+    # one lookup, however long its queue.
+    _mode.freeze_row = tuple(
+        frozenset().union(
+            *(freeze_set(_mode, q) for q in ALL_MODES if mask & q.bit)
+        )
+        for mask in range(1 << len(ALL_MODES))
+    )
+del _index, _mode
 
 
 def intention_mode(mode: LockMode) -> LockMode:

@@ -24,17 +24,14 @@ cost, which is the quantity §5 talks about.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..metrics import MetricsCollector
 from ..raymond.topology import Topology, balanced_binary_tree, chain
 from ..sim.cluster import SimNaimiCluster, SimRaymondCluster
-from ..sim.engine import Process, Simulator
+from ..sim.engine import Process
 from ..sim.rng import Exponential, derive_rng
 from ..verification.invariants import MutualExclusionMonitor
-from ..workload.airline import naimi_pure_client
-from ..workload.spec import WorkloadSpec
-from .common import RunResult, run_naimi_pure
 from .report import render_series_table, shape_checks
 
 LOCK = "global"
@@ -88,55 +85,6 @@ def sequential_raymond(
         monitor=MutualExclusionMonitor(),
     )
     return _sequential_overhead(cluster, num_nodes, rounds, seed)
-
-
-def run_raymond(
-    num_nodes: int,
-    spec: WorkloadSpec,
-    topology: Optional[Topology] = None,
-    check_invariants: bool = True,
-    event_budget: int = 30_000_000,
-) -> RunResult:
-    """Run the single-token workload under Raymond's algorithm."""
-
-    sim = Simulator()
-    metrics = MetricsCollector()
-    monitor = MutualExclusionMonitor() if check_invariants else None
-    cluster = SimRaymondCluster(
-        num_nodes,
-        sim=sim,
-        latency=Exponential(spec.latency_mean),
-        seed=spec.seed,
-        topology=topology,
-        monitor=monitor,
-        metrics=metrics,
-    )
-    bodies = [
-        naimi_pure_client(
-            sim,
-            cluster.client(node),
-            spec,
-            spec.entry_count(num_nodes),
-            derive_rng(spec.seed, "raymond", num_nodes, node),
-            metrics=metrics,
-        )
-        for node in range(num_nodes)
-    ]
-    processes = [Process(sim, body) for body in bodies]
-    sim.run(max_events=event_budget)
-    if not all(p.done.triggered for p in processes):
-        raise RuntimeError("raymond run never completed")
-    if check_invariants and monitor is not None:
-        monitor.assert_all_released()
-        cluster.assert_quiescent_invariants()
-    return RunResult(
-        protocol="raymond",
-        num_nodes=num_nodes,
-        spec=spec,
-        metrics=metrics,
-        sim_time=sim.now,
-        events=sim.events_processed,
-    )
 
 
 @dataclasses.dataclass

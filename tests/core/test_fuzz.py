@@ -4,7 +4,10 @@ Hypothesis drives random operation scripts through random message
 interleavings (beyond the per-pair-FIFO orders the exhaustive explorer
 already covers, this fuzzer scales to more nodes and longer scripts).
 Invariants checked on every path: pairwise-compatible holds, eventual
-completion of every request, and a consistent quiescent tree.
+completion of every request, and a consistent quiescent tree.  After
+every step each automaton's owned mode and each token node's frozen set
+must also equal their definitions (Definition 3 and Table 2(b)), which
+pins the precomputed mode tables against the per-entry formula.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from collections import deque
 from pathlib import Path
 from typing import Dict, List, Tuple
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -22,7 +25,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from helpers import Pump  # noqa: E402
 
 from repro.core.automaton import ProtocolOptions  # noqa: E402
-from repro.core.modes import LockMode, compatible  # noqa: E402
+from repro.core.modes import (  # noqa: E402
+    LockMode,
+    compatible,
+    freeze_set,
+    max_mode,
+)
 
 MODES = [LockMode.IR, LockMode.R, LockMode.U, LockMode.IW, LockMode.W]
 
@@ -32,8 +40,29 @@ class _FuzzHarness:
 
     def __init__(self, num_nodes: int, options: ProtocolOptions) -> None:
         self.pump = Pump(num_nodes, options=options)
+        self.options = options
         self.holds: List[Tuple[int, LockMode]] = []
         self.completed = 0
+
+    def check_derived_state(self) -> None:
+        """Owned modes and frozen sets equal their definitions."""
+
+        for node, automaton in self.pump.automata.items():
+            owned = automaton.owned_mode()
+            assert owned is max_mode(
+                list(automaton.held_modes) + list(automaton.children.values())
+            ), f"node {node}: owned mode {owned}"
+            if not automaton.has_token:
+                continue
+            expected = set()
+            if self.options.freezing:
+                for queued in automaton.queued_requests:
+                    expected |= freeze_set(owned, queued.mode)
+            assert automaton.frozen_modes == expected, (
+                f"token node {node} freezes {set(automaton.frozen_modes)}, "
+                f"queue {[str(q.mode) for q in automaton.queued_requests]} "
+                f"owning {owned} needs {expected}"
+            )
 
     def check_grants(self) -> None:
         """Fold new grants into holds, checking pairwise compatibility."""
@@ -46,6 +75,7 @@ class _FuzzHarness:
                 )
             self.holds.append((node, mode))
             self.completed += 1
+        self.check_derived_state()
 
     def deliver_one(self, choice: int) -> bool:
         """Deliver the choice-th queued message (mod queue length)."""
@@ -81,6 +111,19 @@ class _FuzzHarness:
         return True
 
 
+# A contended script (the token queues conflicting requests and freezes)
+# run under every option set whose freeze path differs: always covered,
+# whatever the random draws above pick.
+_CONTENDED = dict(
+    num_nodes=4,
+    requests=[
+        (1, LockMode.R), (2, LockMode.W), (3, LockMode.IR),
+        (1, LockMode.IW), (2, LockMode.U), (3, LockMode.R),
+    ],
+    schedule=[0, 0, 0, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1],
+)
+
+
 @settings(
     max_examples=60,
     deadline=None,
@@ -107,6 +150,9 @@ class _FuzzHarness:
         ]
     ),
 )
+@example(options=ProtocolOptions(), **_CONTENDED)
+@example(options=ProtocolOptions(freezing=False), **_CONTENDED)
+@example(options=ProtocolOptions(priority_scheduling=True), **_CONTENDED)
 def test_random_interleavings_stay_safe_and_complete(
     num_nodes, requests, schedule, options
 ):

@@ -7,12 +7,15 @@ the rest of the tables follow from the derivations argued in DESIGN.md §3.
 from __future__ import annotations
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.modes import (
+    _CONFLICTS,
+    _STRENGTH,
     ALL_MODES,
     REAL_MODES,
     LockMode,
@@ -368,3 +371,74 @@ class TestRendering:
         ]
         assert len(iw_row) == 1
         assert "IW" in iw_row[0]
+
+
+class TestModeConstants:
+    """The per-member bit, rank, conflict mask and freeze row must say
+    exactly what ``_CONFLICTS`` and ``_STRENGTH`` say: every hot-path
+    predicate is computed from them."""
+
+    PAIRS = list(itertools.product(ALL_MODES, repeat=2))  # all 36 cells
+    MASKS = range(1 << len(ALL_MODES))
+
+    def test_bits_are_distinct_single_bits(self):
+        bits = [mode.bit for mode in ALL_MODES]
+        assert sorted(bits) == [1 << i for i in range(len(ALL_MODES))]
+
+    def test_conflict_predicates_match_table(self):
+        for left, right in self.PAIRS:
+            table = right in _CONFLICTS[left]
+            assert conflicts(left, right) is table, (left, right)
+            assert compatible(left, right) is (not table), (left, right)
+
+    def test_strength_predicates_match_table(self):
+        for left, right in self.PAIRS:
+            assert strength(left) == _STRENGTH[left]
+            assert stronger_or_equal(left, right) is (
+                _STRENGTH[left] >= _STRENGTH[right]
+            ), (left, right)
+            assert strictly_weaker(left, right) is (
+                _STRENGTH[left] < _STRENGTH[right]
+            ), (left, right)
+
+    def test_freeze_set_matches_formula_from_table(self):
+        for owned, requested in self.PAIRS:
+            expected = frozenset(
+                m
+                for m in REAL_MODES
+                if requested in _CONFLICTS[m] and owned not in _CONFLICTS[m]
+            )
+            assert freeze_set(owned, requested) == expected, (owned, requested)
+
+    def test_freeze_row_is_union_of_freeze_sets(self):
+        for owned in ALL_MODES:
+            assert len(owned.freeze_row) == len(self.MASKS)
+            for mask in self.MASKS:
+                union = set()
+                for queued in ALL_MODES:
+                    if mask & queued.bit:
+                        union |= freeze_set(owned, queued)
+                assert owned.freeze_row[mask] == union, (owned, mask)
+
+    @given(modes=st.lists(ALL, max_size=8))
+    def test_max_mode_matches_strength_table(self, modes):
+        best = LockMode.NONE
+        for mode in modes:
+            if _STRENGTH[mode] > _STRENGTH[best]:
+                best = mode
+        assert max_mode(modes) is best
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_round_trips_keep_member_and_constants(self, mode):
+        for copy in (pickle.loads(pickle.dumps(mode)), LockMode(str(mode))):
+            assert copy is mode
+            assert (copy.bit, copy.rank, copy.conflict_mask) == (
+                mode.bit, mode.rank, mode.conflict_mask
+            )
+            assert copy.freeze_row == mode.freeze_row
+
+    def test_constants_are_not_members(self):
+        assert len(LockMode) == len(ALL_MODES)
+        assert [m.value for m in LockMode] == [
+            "NL", "IR", "R", "U", "IW", "W"
+        ]
