@@ -598,9 +598,9 @@ def _membership_main(argv: Sequence[str]) -> int:
     parser.add_argument(
         "--self-test", action="store_true",
         help="run the seeded membership smoke: god-view splices on the "
-        "plain sim clusters for all three protocols, then churn plans "
-        "on the resilient cluster; exit 0 iff every check passes "
-        "(the CI smoke path)",
+        "plain sim clusters for all three protocols, churn plans on the "
+        "resilient sim cluster, then join/drain/durable restart on the "
+        "threaded one; exit 0 iff every check passes (the CI smoke path)",
     )
     parser.add_argument(
         "--seed", type=int, default=0, help="seed for the resilient runs",
@@ -703,10 +703,59 @@ def _membership_self_test(seed: int) -> int:
         if not (verdict.ok and agreed):
             failures.append(f"{plan}: verdict not ok")
 
+    try:
+        _threaded_lifecycle_smoke()
+        print(
+            "membership[threaded]: join, drain of a W holder, durable "
+            "restart OK"
+        )
+    except Exception as exc:  # noqa: BLE001 - smoke verdict, not flow
+        failures.append(f"threaded: {type(exc).__name__}: {exc}")
+        print(f"membership[threaded]: FAIL — {exc}")
+
     print(f"self-test: {'PASS' if not failures else 'FAIL'}")
     for failure in failures:
         print(f"  {failure}")
     return 0 if not failures else 1
+
+
+def _threaded_lifecycle_smoke() -> None:
+    """The resilient lifecycle on real threads: a join, the drain of a W
+    holder under a compatibility monitor followed by a W elsewhere, and a
+    durable crash/restart after a release.  Raises on any failure."""
+
+    from .core.modes import LockMode
+    from .faults.plan import FaultPlan
+    from .faults.runtime import ResilientThreadedCluster
+    from .persist import MemoryPersistence
+    from .verification.invariants import CompatibilityMonitor
+
+    W, R = LockMode.W, LockMode.R
+    monitor = CompatibilityMonitor()
+    with ResilientThreadedCluster(
+        3, plan=FaultPlan(), monitor=monitor, persistence=MemoryPersistence()
+    ) as cluster:
+        joiner = cluster.join_node()
+        cluster.client(joiner).acquire("db", R, timeout=20.0)
+        cluster.client(joiner).release("db", R)
+        cluster.client(1).acquire("db", W, timeout=20.0)
+        cluster.drain_node(1, timeout=30.0)  # Force-releases node 1's W.
+        cluster.client(2).acquire("db", W, timeout=20.0)
+        cluster.client(2).release("db", W)
+        cluster.crash(2)
+        cluster.restart(2)
+        cluster.client(2).acquire("db", R, timeout=20.0)
+        cluster.client(2).release("db", R)
+        views = {
+            (cluster.managers[n].view_epoch, tuple(cluster.managers[n].membership))
+            for n in cluster.live_nodes()
+        }
+        if views != {(2, (0, 2, joiner))}:
+            raise AssertionError(f"views diverge: {sorted(views)}")
+        if [entry["node"] for entry in cluster.durability_log] != [2]:
+            raise AssertionError("node 2 did not restart durably")
+        if monitor.grants != 4:
+            raise AssertionError(f"{monitor.grants} audited grants, not 4")
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:

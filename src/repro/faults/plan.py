@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.messages import MESSAGE_TYPE_LABELS, NodeId
 
-#: Legacy predicate signature of ``Network(loss_filter=...)``.
+#: Arbitrary drop predicate ``(sender, dest, message) -> bool``.
 LossFilter = Callable[[NodeId, NodeId, object], bool]
 
 #: Actions a rule can take on a matched message.
@@ -76,7 +76,8 @@ class FaultRule:
     max_count: Optional[int] = None
     #: Extra latency in seconds (``delay`` action only).
     delay: float = 0.25
-    #: Escape hatch for the deprecated ``loss_filter`` shim.
+    #: Extra match condition: an arbitrary ``(sender, dest, message)``
+    #: predicate, ANDed with the declarative constraints above.
     predicate: Optional[LossFilter] = None
 
     def __post_init__(self) -> None:
@@ -300,11 +301,10 @@ class FaultInjector:
 
 
 def plan_from_loss_filter(loss_filter: LossFilter) -> FaultPlan:
-    """Wrap a legacy ``Network(loss_filter=...)`` predicate in a plan.
+    """Wrap a drop predicate ``(sender, dest, message) -> bool`` in a plan.
 
-    The shim behind the deprecated constructor argument: the predicate
-    becomes a single unconditional drop rule, so old call sites keep
-    working on top of the fault layer.
+    The predicate becomes a single unconditional drop rule, for faults
+    the declarative rule fields cannot express.
     """
 
     return FaultPlan(

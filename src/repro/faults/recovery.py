@@ -240,7 +240,8 @@ class RecoveryManager:
         self._view_record: Optional[Dict[str, object]] = None
         #: Proposer state of an in-flight view change, if any.
         self._view_pending: Optional[Dict[str, object]] = None
-        #: Highest ``(epoch, proposer)`` promised; later proposals win.
+        #: The ``(epoch, proposer)`` this node last voted for: at most
+        #: one proposer per epoch, and never an epoch below it.
         self._view_promised: Tuple[int, int] = (0, -1)
         #: Nodes excised by an installed view — their stale traffic is
         #: dropped wholesale and they are never re-suspected.
@@ -1482,9 +1483,13 @@ class RecoveryManager:
     ) -> None:
         rejoin = self._rejoin.get(lock_id)
         if rejoin is not None:
-            if holder != self.node_id and epoch >= int(rejoin["epoch"]):
-                # A placement of at least our restored epoch names
-                # someone else: fence immediately.
+            if holder != self.node_id and epoch > int(rejoin["epoch"]):
+                # A placement of a later epoch names someone else: fence
+                # immediately.  A same-epoch placement is a stale hint:
+                # the journal records a transfer before the token leaves,
+                # so restored custody at this epoch is the epoch's last
+                # holder (a live token of our epoch still answers the
+                # probe with a TokenAck, which does fence).
                 self._resolve_rejoin(
                     lock_id, confirmed=False, epoch=epoch, holder=holder
                 )
@@ -1610,20 +1615,27 @@ class RecoveryManager:
                     base_epoch, int(self._view_pending["epoch"])
                 )
             epoch = base_epoch + 1
+            # One vote per epoch, our own included: having already acked
+            # another proposer at this epoch, we must not also vote for
+            # ourselves, or two views could both win the same epoch.
+            voted_elsewhere = self._view_promised[0] == epoch and (
+                self._view_promised[1] != self.node_id
+            )
             pending = self._view_pending = {
                 "epoch": epoch,
                 "members": members,
                 "joined": joined,
                 "removed": removed,
                 "forced": bool(forced),
-                "acks": {self.node_id},
+                "acks": set() if voted_elsewhere else {self.node_id},
                 "base": tuple(self.membership),
                 "generation": 0,
             }
             self.views_proposed += 1
-            self._view_promised = max(
-                self._view_promised, (epoch, self.node_id)
-            )
+            if not voted_elsewhere:
+                self._view_promised = max(
+                    self._view_promised, (epoch, self.node_id)
+                )
             if self.obs is not None:
                 self.obs.fault("view-propose", epoch)
             self._send_proposal(pending)
@@ -1708,7 +1720,14 @@ class RecoveryManager:
             # Stale proposer (it missed an install): catch it up instead.
             self._send_view_install(msg.sender)
             return
-        if (msg.epoch, msg.sender) < self._view_promised:
+        promised_epoch, promised_to = self._view_promised
+        if msg.epoch < promised_epoch or (
+            msg.epoch == promised_epoch and msg.sender != promised_to
+        ):
+            # One vote per epoch: acking a second proposer here would let
+            # two different views both reach a quorum of the same base.
+            # The loser learns the winner's install by anti-entropy and
+            # re-proposes at the next epoch.
             return
         self._view_promised = (msg.epoch, msg.sender)
         self._raw_send(

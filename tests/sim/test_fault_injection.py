@@ -16,7 +16,7 @@ import pytest
 from repro.core.messages import GrantMessage, TokenMessage
 from repro.core.modes import LockMode
 from repro.errors import SimulationError
-from repro.faults.plan import FaultPlan, plan_from_loss_filter
+from repro.faults.plan import plan_from_loss_filter
 from repro.sim.cluster import SimHierarchicalCluster
 from repro.sim.engine import Process, Simulator, Timeout, run_processes
 from repro.sim.network import Network
@@ -113,30 +113,3 @@ class TestMessageLoss:
         run_processes(cluster.sim, [writer()])
         assert cluster.network.messages_dropped == 0
 
-
-class TestLossFilterDeprecation:
-    def test_constructor_argument_warns_but_still_works(self):
-        sim = Simulator()
-        with pytest.deprecated_call(match="loss_filter"):
-            lossy = Network(
-                sim,
-                latency=Fixed(0.01),
-                loss_filter=lambda s, d, m: isinstance(m, TokenMessage),
-            )
-        # The shim rides the fault injector: same drop behavior as before.
-        cluster = SimHierarchicalCluster(2, sim=sim, latency=Fixed(0.01))
-        for node_id, lockspace in cluster.lockspaces.items():
-            lossy.register(node_id, lockspace.handle)
-        cluster.network = lossy
-
-        def writer():
-            yield cluster.client(1).acquire("t", LockMode.W)
-
-        with pytest.raises(SimulationError, match="blocked"):
-            run_processes(sim, [writer()])
-        assert cluster.network.messages_dropped == 1
-
-    def test_faults_plan_is_the_replacement(self):
-        sim = Simulator()
-        # No warning with the first-class API.
-        Network(sim, latency=Fixed(0.01), faults=FaultPlan())
